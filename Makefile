@@ -28,9 +28,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz smoke over the trace wire format (same budget as CI).
+# Short fuzz smoke over every fuzz target in the module (the CI step runs
+# this). go test accepts one -fuzz target per call, so each target found
+# in a tracked *_test.go file gets its own 10s run. perfbench is its own
+# module and is left out.
 fuzz:
-	$(GO) test -run=NONE -fuzz=FuzzTraceRoundTrip -fuzztime=10s ./internal/trace
+	@set -e; for f in $$(git grep -l '^func Fuzz' -- '*_test.go' ':!perfbench'); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "fuzz $$t ($$(dirname $$f))"; \
+			$(GO) test -run=NONE -fuzz="^$$t\$$" -fuzztime=10s ./$$(dirname $$f); \
+		done; \
+	done
 
 # Coverage for the gated packages (CI enforces >= 85% on each).
 cover:

@@ -71,11 +71,24 @@ func main() {
 	if *list {
 		fmt.Println("models:    ", strings.Join(laermoe.Models(), ", "))
 		fmt.Println("systems:   ", strings.Join(laermoe.Systems(), ", "))
-		fmt.Println("policies:  ", strings.Join(laermoe.Policies(), ", "))
-		fmt.Println("drifts:    ", strings.Join(laermoe.DriftModels(), ", "))
-		fmt.Println("predictors:", strings.Join(laermoe.Predictors(), ", "))
-		fmt.Println("workloads: ", strings.Join(laermoe.Workloads(), ", "))
-		fmt.Println("arrivals:  ", strings.Join(laermoe.Arrivals(), ", "))
+		var pols, drifts, preds, loads names
+		for _, s := range laermoe.PolicySpecs() {
+			pols = append(pols, s.Name)
+		}
+		for _, s := range laermoe.DriftSpecs() {
+			drifts = append(drifts, s.Name)
+		}
+		for _, s := range laermoe.PredictorSpecs() {
+			preds = append(preds, s.Name)
+		}
+		for _, s := range laermoe.WorkloadSpecs() {
+			loads = append(loads, s.Name)
+		}
+		fmt.Println("policies:  ", pols)
+		fmt.Println("drifts:    ", drifts)
+		fmt.Println("predictors:", preds)
+		fmt.Println("workloads: ", loads)
+		fmt.Println("arrivals:  ", names(laermoe.Arrivals()))
 		return
 	}
 

@@ -70,7 +70,8 @@ func main() {
 			"policy", "total step (s)", "tokens/s", "obs lag (s)", "predicted", "fc err")
 		fmt.Printf("%-18s  %14.1f  %10.0f  %12.2f  %9d  %8s\n",
 			"warm", warm.TotalStepTime, warm.MeanThroughput, warm.ObservationLag, 0, "-")
-		for _, predictor := range laermoe.Predictors() {
+		for _, spec := range laermoe.PredictorSpecs() {
+			predictor := spec.Name
 			rep := run(laermoe.PolicyPredictive, predictor, drift)
 			predicted := 0
 			for _, e := range rep.Epochs {

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log"
 	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -245,47 +247,68 @@ func TestJournalClosedSessionsStayClosed(t *testing.T) {
 }
 
 // TestJournalCorruptionDropsSession: a journal whose records were
-// tampered with (here: the open record's kind) fails replay; the daemon
-// still boots, counts the failure, and deletes the bad journal so the
-// next boot is clean.
+// tampered with fails replay; the daemon still boots, counts the failure,
+// and deletes the bad journal so the next boot is clean. Each tamper is a
+// same-length kind rename, so the journal layer still parses every line
+// (seqs intact) and only the serve layer's replay can reject the stream.
 func TestJournalCorruptionDropsSession(t *testing.T) {
-	dir := t.TempDir()
-	jopts := Options{JournalDir: dir}
-	a, ac := newTestServer(t, jopts)
-	var info SessionInfo
-	ac.do("POST", "/v1/sessions", quickSpec("warm"), http.StatusCreated, &info)
-	stream := observationStream(t, info, 1, 4, trace.DriftConfig{Model: trace.DriftNone})
-	ac.do("POST", "/v1/sessions/"+info.ID+"/observe",
-		ObserveRequest{Routing: stream[0]}, http.StatusOK, nil)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := a.Shutdown(ctx); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name     string
+		from, to string
+		reason   string // the logged replay failure
+	}{
+		// The opening record: replay refuses the stream before building
+		// the session.
+		{"open kind", `"k":"open"`, `"k":"oper"`, `journal starts with "oper"`},
+		// A record in the middle of the journal: the first epoch's
+		// decision becomes a digest-only "snapshot" record, a kind nothing
+		// writes any more, so it lands in replay's unknown-kind branch.
+		{"mid-journal kind", `"k":"decision"`, `"k":"snapshot"`, `record 3: unknown kind "snapshot"`},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			a, ac := newTestServer(t, Options{JournalDir: dir})
+			var info SessionInfo
+			ac.do("POST", "/v1/sessions", quickSpec("warm"), http.StatusCreated, &info)
+			stream := observationStream(t, info, 2, 4, trace.DriftConfig{Model: trace.DriftNone})
+			for _, obs := range stream {
+				ac.do("POST", "/v1/sessions/"+info.ID+"/observe",
+					ObserveRequest{Routing: obs}, http.StatusOK, nil)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := a.Shutdown(ctx); err != nil {
+				t.Fatal(err)
+			}
 
-	// Same-length byte tamper: the journal layer still parses every line
-	// (seqs intact), but the serve layer's replay must reject the stream.
-	path := filepath.Join(dir, info.ID+".jnl")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tampered := bytes.Replace(raw, []byte(`"k":"open"`), []byte(`"k":"oper"`), 1)
-	if bytes.Equal(tampered, raw) {
-		t.Fatal("tamper target not found in journal")
-	}
-	if err := os.WriteFile(path, tampered, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			path := filepath.Join(dir, info.ID+".jnl")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tampered := bytes.Replace(raw, []byte(tc.from), []byte(tc.to), 1)
+			if bytes.Equal(tampered, raw) {
+				t.Fatal("tamper target not found in journal")
+			}
+			if err := os.WriteFile(path, tampered, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	b, bc := newTestServer(t, jopts)
-	bc.do("GET", "/v1/sessions/"+info.ID, nil, http.StatusNotFound, nil)
-	replayed, failures := b.metrics.sessionsReplayed.Load(), b.metrics.replayFailures.Load()
-	if replayed != 0 || failures != 1 {
-		t.Fatalf("replay metrics: %d restored, %d failed", replayed, failures)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("failed journal not removed (stat err %v)", err)
+			var logs bytes.Buffer
+			b, bc := newTestServer(t, Options{JournalDir: dir, Log: log.New(&logs, "", 0)})
+			bc.do("GET", "/v1/sessions/"+info.ID, nil, http.StatusNotFound, nil)
+			replayed, failures := b.metrics.sessionsReplayed.Load(), b.metrics.replayFailures.Load()
+			if replayed != 0 || failures != 1 {
+				t.Fatalf("replay metrics: %d restored, %d failed", replayed, failures)
+			}
+			if !strings.Contains(logs.String(), tc.reason) {
+				t.Fatalf("replay log %q does not name the failure %q", logs.String(), tc.reason)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("failed journal not removed (stat err %v)", err)
+			}
+		})
 	}
 }
 

@@ -230,10 +230,6 @@ type Generator struct {
 
 	scratch genScratch // serial-path scratch (parallel workers use the pool)
 	shifted []float64  // ApplyDrift migration scratch
-
-	// prev retains a copy of the last emitted matrices, the baseline
-	// StepDeltaInto diffs against (nil until the delta path is used).
-	prev []*RoutingMatrix
 }
 
 // layerSeed derives layer l's independent stream seed from the generator

@@ -1,17 +1,18 @@
 // Wire form of the drift-delta view: the serializable sparse observation
 // update a client posts instead of a dense routing matrix once its expert
-// loads have stabilized. A WireDelta carries, per changed expert, the flat
-// (device, diff) pairs of that expert's changed column cells — exactly the
-// structure RoutingDelta/ExpertLoadDelta maintain in memory, grouped by
-// expert so a stationary epoch serializes in O(changed cells) bytes
+// loads have stabilized. The paper's core observation (and *Prediction Is
+// All MoE Needs*) is that expert loads are mostly stationary between
+// adjacent observation windows, so the set of changed (device, expert)
+// cells is far smaller than the dense E×N matrix. A WireDelta carries, per
+// changed expert, the flat (device, diff) pairs of that expert's changed
+// column cells, so a stationary epoch serializes in O(changed cells) bytes
 // instead of O(N·E).
 //
-// The contract mirrors the in-memory delta: applying the wire delta of
-// next−prev onto (a copy of) prev reproduces next exactly, cell for cell —
-// FuzzWireDeltaRoundTrip pins that through a JSON round-trip. Check-then-
-// Apply splits validation from mutation so a caller holding several layers
-// can verify all of them before mutating any (cross-layer atomicity for a
-// retained per-session baseline).
+// Applying the wire delta of next−prev onto (a copy of) prev reproduces
+// next exactly, cell for cell — FuzzWireDeltaRoundTrip pins that through a
+// JSON round-trip. Check-then-Apply splits validation from mutation so a
+// caller holding several layers can verify all of them before mutating any
+// (cross-layer atomicity for a retained per-session baseline).
 package trace
 
 import (
@@ -108,11 +109,10 @@ func (w *WireDelta) Apply(m *RoutingMatrix) {
 }
 
 // WireDiff computes the wire form of next − prev directly from a retained
-// matrix and a dense row set (the shape a JSON observation decodes to),
-// without materializing a RoutingDelta. rows must be prev's shape; the
-// caller has validated that (it is the serve layer's dense-path
-// validation). The result is canonical: experts ascending, devices
-// ascending within each expert.
+// matrix and a dense row set (the shape a JSON observation decodes to).
+// rows must be prev's shape; the caller has validated that (it is the
+// serve layer's dense-path validation). The result is canonical: experts
+// ascending, devices ascending within each expert.
 func WireDiff(prev *RoutingMatrix, rows [][]int) *WireDelta {
 	// Pass 1: count changed cells per expert so pass 2 can slab-allocate.
 	counts := make([]int, prev.E)
@@ -166,43 +166,4 @@ func totalCells(counts []int) int {
 		t += c
 	}
 	return t
-}
-
-// Wire converts an in-memory RoutingDelta to its wire form (canonical
-// ordering: experts ascending, devices ascending within an expert — the
-// in-memory cells are row-major, so this regroups them by expert).
-func (d *RoutingDelta) Wire() *WireDelta {
-	counts := make([]int, d.E)
-	changedExperts := 0
-	for _, c := range d.Cells {
-		if counts[c.Expert] == 0 {
-			changedExperts++
-		}
-		counts[c.Expert]++
-	}
-	w := &WireDelta{}
-	if changedExperts == 0 {
-		return w
-	}
-	w.Experts = make([]WireExpertDelta, 0, changedExperts)
-	slab := make([]int, 0, 2*len(d.Cells))
-	offsets := make([]int, d.E)
-	for j := 0; j < d.E; j++ {
-		if counts[j] == 0 {
-			continue
-		}
-		start := len(slab)
-		slab = slab[:start+2*counts[j]]
-		offsets[j] = start
-		w.Experts = append(w.Experts, WireExpertDelta{Expert: j, Cells: slab[start : start+2*counts[j] : start+2*counts[j]]})
-	}
-	fill := make([]int, d.E)
-	// d.Cells is row-major (device ascending within each expert's view), so
-	// appending in order keeps each expert's devices ascending.
-	for _, c := range d.Cells {
-		at := offsets[c.Expert] + 2*fill[c.Expert]
-		slab[at], slab[at+1] = c.Device, c.Diff
-		fill[c.Expert]++
-	}
-	return w
 }

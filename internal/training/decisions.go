@@ -122,10 +122,12 @@ type EpochSummary struct {
 // OnlinePlanner is the per-epoch re-layout decision core shared by
 // RunOnline and the laer-serve planning service: per-layer warm-start
 // solvers (each with its scratch arena), the layouts currently in force,
-// and the per-layer load forecasters of the predictive policy. An epoch is
-// driven as PlanBoundary (forecast-driven boundary replans, a no-op for
-// reactive policies) followed by Observe (the post-observation reactive
-// replan), after which Summarize reports the epoch's aggregate outcome.
+// and the per-layer load forecasters of the predictive policy. PlanEpoch
+// plans one epoch from its observation, the routing its first iteration
+// realized: the forecast-driven boundary step (predictive policy only),
+// whose layouts that first iteration runs on (LayoutsAt), then the
+// post-observation replan, whose layouts serve the rest of the epoch.
+// Summarize then reports the epoch's aggregate outcome.
 //
 // The planner is deterministic: the same construction config and the same
 // observation sequence produce byte-identical decisions at any Parallelism
@@ -145,6 +147,13 @@ type OnlinePlanner struct {
 	layouts      []*planner.Layout
 	owned        []bool
 	plannedLoads [][]float64
+
+	// first holds the layouts the epoch's first iteration executes on:
+	// those in force once the boundary step ran. The observation step's
+	// replans serve the epoch's second iteration onward, so a layout one
+	// of them replaces stays in first and, when owned, waits in parked
+	// until the next epoch opens before it returns to the solver arena.
+	first, parked []*planner.Layout
 
 	// trackers accumulate each layer's per-expert load drift between
 	// solves so steady-state decisions run without re-scoring the layer
@@ -179,7 +188,7 @@ type OnlinePlanner struct {
 	// restoreCost is the per-replica checkpoint read charge. The fault
 	// accounting is indexed by layer: faultTime is the wall-clock charge
 	// pending for each layer's critical path (consumed by TakeFaultCharge,
-	// deliberately untouched by PlanBoundary — boundary faults are applied
+	// deliberately untouched by PlanEpoch — boundary faults are applied
 	// before the boundary plan), faultMoves/faultRestored feed the next
 	// Summarize. staticRestored records that the static policy abandoned
 	// its fixed EP groups for a checkpoint-restored layout.
@@ -193,17 +202,29 @@ type OnlinePlanner struct {
 	workers int
 	pool    *par.Pool
 
-	// Per-epoch planning outcome, reset by PlanBoundary. Slot 0 is the
-	// boundary (forecast-driven) step, slot 1 the observation step.
-	migTime0, migTime1 []float64
-	moves0, moves1     []int
-	imb0, imb1         []float64
-	changed0, changed1 []bool
-	observed           bool // Observe ran this epoch
+	// Per-epoch planning outcome, reset when PlanEpoch opens an epoch:
+	// step[stepBoundary] is the forecast-driven boundary step,
+	// step[stepObservation] the observation step.
+	step [2]stepOutcome
 
 	// Per-epoch solve accounting: how many planning-step solves ran
 	// through a synchronized drift tracker versus a full re-score.
 	incSolves, fullSolves []int
+}
+
+// The two planning steps of an epoch, indexing OnlinePlanner.step. Each
+// step's migration charge lands on the iteration of the same index.
+const (
+	stepBoundary    = 0
+	stepObservation = 1
+)
+
+// stepOutcome is one planning step's per-layer outcome this epoch.
+type stepOutcome struct {
+	migTime []float64
+	moves   []int
+	imb     []float64
+	changed []bool
 }
 
 // NewOnlinePlanner validates the configuration (Epochs and Drift are
@@ -275,23 +296,25 @@ func NewOnlinePlanner(cfg OnlineConfig) (*OnlinePlanner, error) {
 		layers: layers, n: n,
 		solvers:       make([]*planner.Solver, layers),
 		layouts:       make([]*planner.Layout, layers),
+		first:         make([]*planner.Layout, layers),
+		parked:        make([]*planner.Layout, layers),
 		owned:         make([]bool, layers),
 		plannedLoads:  make([][]float64, layers),
 		workers:       par.Workers(cfg.Parallelism),
 		pool:          cfg.Pool,
-		migTime0:      make([]float64, layers),
-		migTime1:      make([]float64, layers),
-		moves0:        make([]int, layers),
-		moves1:        make([]int, layers),
-		imb0:          make([]float64, layers),
-		imb1:          make([]float64, layers),
-		changed0:      make([]bool, layers),
-		changed1:      make([]bool, layers),
 		faultTime:     make([]float64, layers),
 		faultMoves:    make([]int, layers),
 		faultRestored: make([]int, layers),
 		incSolves:     make([]int, layers),
 		fullSolves:    make([]int, layers),
+	}
+	for i := range p.step {
+		p.step[i] = stepOutcome{
+			migTime: make([]float64, layers),
+			moves:   make([]int, layers),
+			imb:     make([]float64, layers),
+			changed: make([]bool, layers),
+		}
 	}
 	if spec.Tracks && !cfg.DisableIncremental {
 		p.trackers = make([]*planner.DriftTracker, layers)
@@ -313,6 +336,7 @@ func NewOnlinePlanner(cfg OnlineConfig) (*OnlinePlanner, error) {
 		opts.Seed = cfg.Seed + int64(l) + 1
 		p.solvers[l] = planner.NewSolver(topo, arch.ExpertCapacity, setup.Params, opts)
 		p.layouts[l] = initial
+		p.first[l] = initial
 	}
 
 	p.pred = spec.Predictive
@@ -355,28 +379,33 @@ func (p *OnlinePlanner) Setup() *Setup { return p.setup }
 func (p *OnlinePlanner) Layers() int { return p.layers }
 
 // Devices returns the cluster's device count and Experts the per-layer
-// expert count — the expected shape of Observe's routing matrices.
+// expert count — the expected shape of PlanEpoch's routing matrices.
 func (p *OnlinePlanner) Devices() int { return p.n }
 
 // Experts returns the per-layer expert count.
 func (p *OnlinePlanner) Experts() int { return p.arch.Experts }
 
-// Layouts returns the per-layer layouts currently in force. The slice and
-// the layouts are owned by the planner: callers must treat them as
-// read-only and must not retain layouts across planning steps (a replan
-// recycles dropped layouts through the solver scratch arenas).
-func (p *OnlinePlanner) Layouts() []*planner.Layout { return p.layouts }
+// LayoutsAt returns the per-layer layouts iteration it of the current
+// epoch executes on: for iteration 0 the layouts the boundary step left
+// in force, for every later iteration the layouts in force now (the
+// observation step's replans and any mid-epoch fault repairs included).
+// The slice and the layouts are owned by the planner: callers must treat
+// them as read-only and must not retain layouts across epochs (dropped
+// layouts are recycled through the solver scratch arenas).
+func (p *OnlinePlanner) LayoutsAt(it int) []*planner.Layout {
+	if it == 0 {
+		return p.first
+	}
+	return p.layouts
+}
 
 // MigrationCharge returns the simulated seconds of migration charged on
 // the critical path of iteration it (0 or 1) for layer l this epoch:
 // boundary replans land on the epoch's first iteration, observation
 // replans on the second.
 func (p *OnlinePlanner) MigrationCharge(it, l int) float64 {
-	switch it {
-	case 0:
-		return p.migTime0[l]
-	case 1:
-		return p.migTime1[l]
+	if it < len(p.step) {
+		return p.step[it].migTime[l]
 	}
 	return 0
 }
@@ -454,7 +483,7 @@ func (p *OnlinePlanner) ApplyFaults(events []faults.Event) ([]LayerDecision, err
 		moves[l], restored[l] = st.Moves, st.Restored
 		if next != p.layouts[l] {
 			changed[l] = true
-			p.installLayout(l, next)
+			p.setLayout(l, next, true, false)
 		}
 		return nil
 	})
@@ -510,11 +539,7 @@ func (p *OnlinePlanner) staticRestore() ([]LayerDecision, error) {
 	}
 	resTime := float64(total) * p.restoreCost
 	for l := 0; l < p.layers; l++ {
-		if p.owned[l] {
-			p.solvers[l].Recycle(p.layouts[l])
-		}
-		p.layouts[l] = restore
-		p.owned[l] = false
+		p.setLayout(l, restore, false, false)
 		p.faultRestored[l] += total
 		p.faultTime[l] += resTime
 		decs[l] = LayerDecision{
@@ -545,33 +570,61 @@ func (p *OnlinePlanner) tracker(l int) *planner.DriftTracker {
 	return p.trackers[l]
 }
 
-// installLayout swaps a replan result into force for a layer, recycling
-// the dropped layout through the solver's scratch arena. The recycling is
-// what keeps steady-state boundary solves allocation-free. A tracker
-// still bound to the dropped layout is unbound first: the arena may
-// reissue the same buffer later, and a pointer-matched but rewritten
-// layout must never pass the tracker's sync check.
-func (p *OnlinePlanner) installLayout(l int, next *planner.Layout) {
-	if tr := p.tracker(l); tr != nil && tr.Layout() == p.layouts[l] {
+// recycleLayout hands a dropped layout back to its layer's solver arena.
+// Every recycle goes through it, which lets the recycling tests audit
+// each buffer handed back.
+var recycleLayout = (*planner.Solver).Recycle
+
+// setLayout puts next in force for layer l and releases the layout it
+// replaces. An owned layout goes back to the solver's scratch arena, which
+// keeps steady-state solves allocation-free — except when the observation
+// step replaces it: the epoch's first iteration executes on that layout,
+// so it stays in first and is parked until the next epoch opens. Every
+// other replacement lands before the boundary plan or after the first
+// iteration, so first follows it. A tracker still bound to the dropped
+// layout is unbound first: the arena may reissue the same buffer later,
+// and a pointer-matched but rewritten layout must never pass the
+// tracker's sync check.
+func (p *OnlinePlanner) setLayout(l int, next *planner.Layout, owned, observation bool) {
+	old, oldOwned := p.layouts[l], p.owned[l]
+	if tr := p.tracker(l); tr != nil && tr.Layout() == old {
 		tr.Invalidate()
 	}
-	if p.owned[l] {
-		p.solvers[l].Recycle(p.layouts[l])
+	p.layouts[l], p.owned[l] = next, owned
+	if !observation {
+		p.first[l] = next
 	}
-	p.layouts[l] = next
-	p.owned[l] = true
+	switch {
+	case !oldOwned:
+		// The static layouts every layer shares (the initial EP layout, a
+		// checkpoint restore) are never recycled.
+	case observation:
+		p.parked[l] = old
+	default:
+		recycleLayout(p.solvers[l], old)
+	}
 }
 
-// resetEpoch clears the per-epoch planning outcome.
+// resetEpoch opens an epoch: iteration 0 will run on the layouts now in
+// force, the layouts parked by the previous observation step go back to
+// their solvers, and the per-epoch planning outcome is cleared.
 func (p *OnlinePlanner) resetEpoch() {
-	for l := 0; l < p.layers; l++ {
-		p.migTime0[l], p.moves0[l] = 0, 0
-		p.migTime1[l], p.moves1[l] = 0, 0
-		p.imb0[l], p.imb1[l] = 0, 0
-		p.changed0[l], p.changed1[l] = false, false
-		p.incSolves[l], p.fullSolves[l] = 0, 0
+	copy(p.first, p.layouts)
+	for l, lay := range p.parked {
+		if lay != nil {
+			p.parked[l] = nil
+			recycleLayout(p.solvers[l], lay)
+		}
 	}
-	p.observed = false
+	for i := range p.step {
+		out := &p.step[i]
+		clear(out.migTime)
+		clear(out.moves)
+		clear(out.imb)
+		clear(out.changed)
+	}
+	clear(p.incSolves)
+	clear(p.fullSolves)
 }
 
 // rebaseTracker re-anchors layer l's tracker on the routing its current
@@ -586,10 +639,76 @@ func (p *OnlinePlanner) rebaseTracker(l int, tr *planner.DriftTracker, r *trace.
 	return tr.Rebase(r, p.layouts[l], p.plannedLoads[l], p.cfg.MigrationThreshold)
 }
 
-// planBoundaryLayer is the per-layer body of the predictive boundary
-// step: forecast the epoch's loads and, once the predictor has earned
-// trust, install a forecast-driven re-layout before the epoch's first
-// iteration executes.
+// solveLayer is the one per-layer solve behind both planning steps. It
+// solves layer l under routing r — from scratch for the scratch policy,
+// warm-started from the layout in force otherwise, where a drift tracker
+// synchronized with the warm start folds r in incrementally and lets the
+// solver skip the full re-score (the decision is byte-identical either
+// way) — records the outcome in the step's slot, installs a changed
+// layout with its reference loads (loads, or r's expert loads when nil)
+// and rebases the tracker on the routing the layout was decided against.
+func (p *OnlinePlanner) solveLayer(l, slot int, r *trace.RoutingMatrix, loads []float64, forecastErr float64) error {
+	prev := p.layouts[l]
+	tr := p.tracker(l)
+	synced := tr != nil && tr.Synced(prev, p.plannedLoads[l], p.cfg.MigrationThreshold)
+	var sol *planner.Solution
+	var err error
+	if p.cfg.Policy == ReplanScratch {
+		sol, err = p.solvers[l].Solve(r)
+	} else {
+		sol, err = p.solvers[l].SolveWarm(r, planner.WarmStart{
+			Prev:          prev,
+			PrevLoads:     p.plannedLoads[l],
+			Threshold:     p.cfg.MigrationThreshold,
+			MigrationCost: p.scoreMigCost,
+			ForecastError: forecastErr,
+			Tracker:       tr,
+		})
+	}
+	if err != nil {
+		return err
+	}
+	if synced {
+		p.incSolves[l]++
+	} else {
+		p.fullSolves[l]++
+	}
+	out := &p.step[slot]
+	kept := sol.Layout == prev
+	out.moves[l] = planner.MigrationMoves(prev, sol.Layout)
+	out.migTime[l] = float64(out.moves[l]) * p.cfg.MigrationCostPerReplica
+	if kept && synced {
+		// The tracker maintained the lite routing's per-device loads
+		// through the diff: the predicted balance costs O(devices)
+		// instead of an O(N·E) re-route, bit-identical by construction.
+		out.imb[l] = tr.Imbalance()
+	} else {
+		// The predicted balance streams through the planner's pooled
+		// router scratch: no Dispatch is materialized on the solve path.
+		out.imb[l] = planner.LiteImbalance(r, sol.Layout, p.topo)
+	}
+	// The threshold baseline advances only when the layout was actually
+	// re-planned: while a solve keeps the previous layout, its reference
+	// loads stay put, so slow drift accumulates against them instead of
+	// ratcheting the baseline forward and never firing.
+	if !kept {
+		out.changed[l] = true
+		p.setLayout(l, sol.Layout, true, slot == stepObservation)
+		if loads != nil {
+			p.plannedLoads[l] = append(p.plannedLoads[l][:0], loads...)
+		} else {
+			p.plannedLoads[l] = r.ExpertLoadsInto(p.plannedLoads[l])
+		}
+	}
+	if tr != nil && (!kept || !synced) {
+		return p.rebaseTracker(l, tr, r)
+	}
+	return nil
+}
+
+// planBoundaryLayer is layer l's predictive boundary step: forecast the
+// epoch's loads and, once the predictor has earned trust, install a
+// forecast-driven re-layout for the epoch's first iteration to run on.
 func (p *OnlinePlanner) planBoundaryLayer(l int) error {
 	p.fcastMade[l], p.acted[l], p.corrected[l] = false, false, false
 	if !p.predictors[l].Ready() {
@@ -600,119 +719,59 @@ func (p *OnlinePlanner) planBoundaryLayer(l int) error {
 	if !p.alwaysTrust && p.streak[l] < trustWindows {
 		return nil // shadow forecast: measure, don't act
 	}
-	r, rerr := forecast.SynthRouting(p.fcast[l], p.n, p.perDevice)
-	if rerr != nil {
-		return rerr
+	r, err := forecast.SynthRouting(p.fcast[l], p.n, p.perDevice)
+	if err != nil {
+		return err
 	}
-	ferr := p.lastErr[l]
-	// Stash the error the solver was discounted by: PlanEpoch runs the
-	// observation step (which overwrites lastErr) before the boundary
-	// decisions are assembled.
-	p.boundErr[l] = ferr
-	tr := p.tracker(l)
-	synced := tr != nil && tr.Synced(p.layouts[l], p.plannedLoads[l], p.cfg.MigrationThreshold)
-	sol, serr := p.solvers[l].SolveWarm(r, planner.WarmStart{
-		Prev:          p.layouts[l],
-		PrevLoads:     p.plannedLoads[l],
-		Threshold:     p.cfg.MigrationThreshold,
-		MigrationCost: p.scoreMigCost,
-		ForecastError: ferr,
-		Tracker:       tr,
-	})
-	if serr != nil {
-		return serr
-	}
-	if synced {
-		p.incSolves[l]++
-	} else {
-		p.fullSolves[l]++
-	}
-	kept := sol.Layout == p.layouts[l]
-	p.moves0[l] = planner.MigrationMoves(p.layouts[l], sol.Layout)
-	p.migTime0[l] = float64(p.moves0[l]) * p.cfg.MigrationCostPerReplica
-	if kept && synced {
-		// The tracker folded the forecast in and maintained the lite
-		// routing's device loads, so the predicted balance needs no
-		// O(N·E) re-route.
-		p.imb0[l] = tr.Imbalance()
-	} else {
-		// The predicted balance streams through the planner's pooled
-		// router scratch: no Dispatch is materialized on the solve path.
-		p.imb0[l] = planner.LiteImbalance(r, sol.Layout, p.topo)
-	}
-	if !kept {
-		p.changed0[l] = true
-		p.installLayout(l, sol.Layout)
-		p.plannedLoads[l] = append(p.plannedLoads[l][:0], p.fcast[l]...)
-	}
-	if tr != nil && (!kept || !synced) {
-		if rerr := p.rebaseTracker(l, tr, r); rerr != nil {
-			return rerr
-		}
+	// Stash the error the solver was discounted by: the observation step
+	// overwrites lastErr before the boundary decisions are assembled.
+	p.boundErr[l] = p.lastErr[l]
+	if err := p.solveLayer(l, stepBoundary, r, p.fcast[l], p.lastErr[l]); err != nil {
+		return err
 	}
 	p.acted[l] = true
 	return nil
 }
 
-// boundaryDecisions assembles the decision list of the boundary step.
-func (p *OnlinePlanner) boundaryDecisions() []LayerDecision {
-	var decs []LayerDecision
-	for l := 0; l < p.layers; l++ {
-		if !p.acted[l] {
-			continue
-		}
-		action := ActionKeep
-		if p.changed0[l] {
-			action = ActionPredictiveReplan
-		}
-		decs = append(decs, LayerDecision{
-			Layer: l, Action: action,
-			Moves: p.moves0[l], MigrationTime: p.migTime0[l],
-			PredictedImbalance: p.imb0[l],
-			ForecastError:      p.boundErr[l],
-		})
-	}
-	return decs
-}
-
-// PlanBoundary opens an epoch: it resets the per-epoch planning state and,
-// for the predictive policy, forecasts the epoch's loads and installs
-// forecast-driven re-layouts for every layer whose predictor has earned
-// trust — before the epoch's first iteration executes, which is what
-// removes the observation lag. Returns one decision per acted layer (nil
-// for reactive policies, and for epochs where no layer acted).
-func (p *OnlinePlanner) PlanBoundary() ([]LayerDecision, error) {
-	p.resetEpoch()
+// observeLayer is layer l's observation step: the reactive policies
+// replan from the realized routing; the predictive policy first measures
+// its forecast error and updates its predictor, then refines the boundary
+// layout the same way.
+func (p *OnlinePlanner) observeLayer(l int, r *trace.RoutingMatrix) error {
 	if !p.pred {
-		return nil, nil
+		return p.solveLayer(l, stepObservation, r, nil, 0)
 	}
-	if err := p.fanout(p.planBoundaryLayer); err != nil {
-		return nil, err
+	realized := r.ExpertLoads()
+	p.layerErr[l] = 0
+	if p.fcastMade[l] {
+		p.layerErr[l] = forecast.RelativeError(p.fcast[l], realized)
+		p.lastErr[l] = p.layerErr[l]
+		if p.layerErr[l] <= p.confThr {
+			p.streak[l]++
+		} else {
+			p.streak[l] = 0
+		}
 	}
-	return p.boundaryDecisions(), nil
-}
-
-// Observe folds the epoch's observation — the routing realized by the
-// epoch's first iteration, one matrix per layer — into the planner: the
-// reactive policies replan from it (warm incrementally, scratch from
-// nothing), the predictive policy measures its forecast error, updates its
-// predictors and refines mispredicted boundary layouts. Returns one
-// decision per layer (nil for the static policy, which never replans).
-func (p *OnlinePlanner) Observe(routing []*trace.RoutingMatrix) ([]LayerDecision, error) {
-	if err := p.checkRouting(routing); err != nil {
-		return nil, err
+	p.predictors[l].Observe(realized)
+	if p.acted[l] && p.alwaysTrust {
+		// Diagnostic mode: never refine. The decision still reports the
+		// balance the trusted boundary layout delivers under the realized
+		// routing.
+		p.step[stepObservation].imb[l] = planner.LiteImbalance(r, p.layouts[l], p.topo)
+		return nil
 	}
-	if !p.spec.Replans {
-		return nil, nil
+	// Refine from the observation exactly like the warm policy. Where the
+	// forecast held, the solver's per-expert threshold keeps the boundary
+	// layout in force at no cost; where it missed, the keep-versus-migrate
+	// score decides whether the correction is worth a second round of
+	// migration — so acting on a forecast never costs more than one
+	// mispredicted iteration plus redoable moves.
+	prev := p.layouts[l]
+	if err := p.solveLayer(l, stepObservation, r, nil, 0); err != nil {
+		return err
 	}
-	p.observed = true
-	err := p.fanout(func(l int) error {
-		return p.observeLayer(l, routing)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return p.observationDecisions(), nil
+	p.corrected[l] = p.acted[l] && p.layouts[l] != prev
+	return nil
 }
 
 // checkRouting validates an observation's shape against the planner's.
@@ -728,155 +787,24 @@ func (p *OnlinePlanner) checkRouting(routing []*trace.RoutingMatrix) error {
 	return nil
 }
 
-// replanWarmLayer is the warm-start observation replan of one layer: the
-// drift tracker, when synchronized with the warm start, folds the
-// observation in incrementally and lets the solver skip the full
-// re-score; either way the decision is byte-identical to the untracked
-// path.
-func (p *OnlinePlanner) replanWarmLayer(l int, r *trace.RoutingMatrix, forecastErr float64) error {
-	tr := p.tracker(l)
-	synced := tr != nil && tr.Synced(p.layouts[l], p.plannedLoads[l], p.cfg.MigrationThreshold)
-	sol, serr := p.solvers[l].SolveWarm(r, planner.WarmStart{
-		Prev:          p.layouts[l],
-		PrevLoads:     p.plannedLoads[l],
-		Threshold:     p.cfg.MigrationThreshold,
-		MigrationCost: p.scoreMigCost,
-		ForecastError: forecastErr,
-		Tracker:       tr,
-	})
-	if serr != nil {
-		return serr
-	}
-	if synced {
-		p.incSolves[l]++
-	} else {
-		p.fullSolves[l]++
-	}
-	kept := sol.Layout == p.layouts[l]
-	p.moves1[l] = planner.MigrationMoves(p.layouts[l], sol.Layout)
-	p.migTime1[l] = float64(p.moves1[l]) * p.cfg.MigrationCostPerReplica
-	if kept && synced {
-		// The tracker maintained the lite routing's per-device loads
-		// through the diff: the predicted balance costs O(devices)
-		// instead of an O(N·E) re-route, bit-identical by construction.
-		p.imb1[l] = tr.Imbalance()
-	} else {
-		p.imb1[l] = planner.LiteImbalance(r, sol.Layout, p.topo)
-	}
-	// The threshold baseline advances only when the layout was
-	// actually re-planned: while a solve keeps the previous layout,
-	// its reference loads stay put, so slow drift accumulates
-	// against them instead of ratcheting the baseline forward and
-	// never firing.
-	if !kept {
-		p.changed1[l] = true
-		p.installLayout(l, sol.Layout)
-		p.plannedLoads[l] = r.ExpertLoadsInto(p.plannedLoads[l])
-	}
-	if tr != nil && (!kept || !synced) {
-		if rerr := p.rebaseTracker(l, tr, r); rerr != nil {
-			return rerr
-		}
-	}
-	return nil
-}
-
-// observeLayer is the per-layer body of the observation step.
-func (p *OnlinePlanner) observeLayer(l int, routing []*trace.RoutingMatrix) error {
-	replanWarm := func(forecastErr float64) error {
-		return p.replanWarmLayer(l, routing[l], forecastErr)
-	}
-	switch p.cfg.Policy {
-	case ReplanScratch:
-		sol, serr := p.solvers[l].Solve(routing[l])
-		if serr != nil {
-			return serr
-		}
-		p.fullSolves[l]++
-		p.moves1[l] = planner.MigrationMoves(p.layouts[l], sol.Layout)
-		p.migTime1[l] = float64(p.moves1[l]) * p.cfg.MigrationCostPerReplica
-		p.imb1[l] = planner.LiteImbalance(routing[l], sol.Layout, p.topo)
-		if sol.Layout != p.layouts[l] {
-			p.changed1[l] = true
-			p.installLayout(l, sol.Layout)
-			p.plannedLoads[l] = routing[l].ExpertLoadsInto(p.plannedLoads[l])
-		}
-		return nil
-	case ReplanWarm:
-		return replanWarm(0)
-	case ReplanPredictive:
-		realized := routing[l].ExpertLoads()
-		p.layerErr[l] = 0
-		if p.fcastMade[l] {
-			p.layerErr[l] = forecast.RelativeError(p.fcast[l], realized)
-			p.lastErr[l] = p.layerErr[l]
-			if p.layerErr[l] <= p.confThr {
-				p.streak[l]++
-			} else {
-				p.streak[l] = 0
-			}
-		}
-		p.predictors[l].Observe(realized)
-		if p.acted[l] && p.alwaysTrust {
-			// Diagnostic mode: never refine. The decision still reports
-			// the balance the trusted boundary layout delivers under
-			// the realized routing.
-			p.imb1[l] = planner.LiteImbalance(routing[l], p.layouts[l], p.topo)
-			return nil
-		}
-		// Refine from the observation exactly like the warm policy.
-		// Where the forecast held, the solver's per-expert threshold
-		// keeps the boundary layout in force at no cost; where it
-		// missed, the keep-versus-migrate score decides whether the
-		// correction is worth a second round of migration — so acting
-		// on a forecast never costs more than one mispredicted
-		// iteration plus redoable moves.
-		prev := p.layouts[l]
-		if werr := replanWarm(0); werr != nil {
-			return werr
-		}
-		p.corrected[l] = p.acted[l] && p.layouts[l] != prev
-		return nil
-	}
-	return nil
-}
-
-// observationDecisions assembles the decision list of the observation
-// step.
-func (p *OnlinePlanner) observationDecisions() []LayerDecision {
-	decs := make([]LayerDecision, p.layers)
-	for l := 0; l < p.layers; l++ {
-		action := ActionKeep
-		if p.changed1[l] {
-			action = ActionWarmReplan
-			if p.cfg.Policy == ReplanScratch {
-				action = ActionScratchReplan
-			}
-		}
-		var ferr float64
-		if p.pred {
-			ferr = p.layerErr[l]
-		}
-		decs[l] = LayerDecision{
-			Layer: l, Action: action,
-			Moves: p.moves1[l], MigrationTime: p.migTime1[l],
-			PredictedImbalance: p.imb1[l],
-			ForecastError:      ferr,
-		}
-	}
-	return decs
-}
-
-// PlanEpoch drives one epoch's boundary and observation steps as a single
-// fanout over the worker pool: each layer runs its forecast-driven
-// boundary plan and its post-observation replan back to back on one
-// worker, instead of paying two pool dispatches (and two rounds of
-// cross-layer synchronization) per epoch. The decisions are byte-identical
-// to PlanBoundary followed by Observe — every planning input and output is
-// indexed per layer, so the two steps of one layer never read another
-// layer's state. Callers that execute iterations between the two steps
-// (the online engine) keep the split entry points; callers that plan both
-// steps from one observation (the laer-serve session loop) use this.
+// PlanEpoch plans one epoch from its observation — the routing realized by
+// the epoch's first iteration, one matrix per layer — as a single fanout
+// over the worker pool. Each layer runs its forecast-driven boundary step
+// (predictive policy only: forecast the epoch's loads and, once the
+// predictor has earned trust, re-lay out before the first iteration,
+// which removes the observation lag) and its observation step back to
+// back on one worker: the reactive policies replan from the observation
+// (warm incrementally, scratch from nothing); the predictive policy
+// measures its forecast error, updates its predictors and refines
+// mispredicted boundary layouts. Every planning input and output is
+// indexed per layer, so the decisions are identical at any Parallelism.
+//
+// The first iteration runs on the boundary step's layouts (LayoutsAt(0)),
+// which the observation step leaves readable, so a caller that executes
+// that iteration — the online engine — may plan before executing it.
+// Returns one decision per acted boundary layer (nil for reactive
+// policies) and one observation decision per layer (nil for policies that
+// never replan).
 func (p *OnlinePlanner) PlanEpoch(routing []*trace.RoutingMatrix) (boundary, observation []LayerDecision, err error) {
 	if err := p.checkRouting(routing); err != nil {
 		return nil, nil, err
@@ -885,32 +813,67 @@ func (p *OnlinePlanner) PlanEpoch(routing []*trace.RoutingMatrix) (boundary, obs
 	if !p.spec.Replans {
 		return nil, nil, nil
 	}
-	p.observed = true
 	err = p.fanout(func(l int) error {
 		if p.pred {
-			if berr := p.planBoundaryLayer(l); berr != nil {
-				return berr
+			if err := p.planBoundaryLayer(l); err != nil {
+				return err
 			}
 		}
-		return p.observeLayer(l, routing)
+		return p.observeLayer(l, routing[l])
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	if p.pred {
-		boundary = p.boundaryDecisions()
+		for l := 0; l < p.layers; l++ {
+			if p.acted[l] {
+				boundary = append(boundary, p.decision(l, stepBoundary, p.boundErr[l]))
+			}
+		}
 	}
-	return boundary, p.observationDecisions(), nil
+	observation = make([]LayerDecision, p.layers)
+	for l := range observation {
+		var ferr float64
+		if p.pred {
+			ferr = p.layerErr[l]
+		}
+		observation[l] = p.decision(l, stepObservation, ferr)
+	}
+	return boundary, observation, nil
+}
+
+// decision reports layer l's outcome of one planning step.
+func (p *OnlinePlanner) decision(l, slot int, forecastErr float64) LayerDecision {
+	out := &p.step[slot]
+	action := ActionKeep
+	switch {
+	case !out.changed[l]:
+		// The solve kept the layout in force.
+	case slot == stepBoundary:
+		action = ActionPredictiveReplan
+	case p.cfg.Policy == ReplanScratch:
+		action = ActionScratchReplan
+	default:
+		action = ActionWarmReplan
+	}
+	return LayerDecision{
+		Layer: l, Action: action,
+		Moves: out.moves[l], MigrationTime: out.migTime[l],
+		PredictedImbalance: out.imb[l],
+		ForecastError:      forecastErr,
+	}
 }
 
 // Summarize aggregates the epoch's planning outcome. Call it after
-// Observe (it reflects whatever steps have run this epoch).
+// PlanEpoch; fault recoveries applied since the previous call are folded
+// in.
 func (p *OnlinePlanner) Summarize() EpochSummary {
 	var s EpochSummary
+	b, o := &p.step[stepBoundary], &p.step[stepObservation]
 	for l := 0; l < p.layers; l++ {
-		s.Migrations += p.moves0[l] + p.moves1[l]
-		s.MigrationTime += p.migTime0[l] + p.migTime1[l]
-		s.BoundaryMigrationTime += p.migTime0[l]
+		s.Migrations += b.moves[l] + o.moves[l]
+		s.MigrationTime += b.migTime[l] + o.migTime[l]
+		s.BoundaryMigrationTime += b.migTime[l]
 	}
 	if p.pred {
 		errSum, made := 0.0, 0
@@ -930,16 +893,15 @@ func (p *OnlinePlanner) Summarize() EpochSummary {
 			s.ForecastError = errSum / float64(made)
 		}
 	}
-	if p.observed {
-		s.MeanPredictedImbalance = stats.Mean(p.imb1)
-	}
+	// Zero when no observation step ran this epoch (the reset cleared it).
+	s.MeanPredictedImbalance = stats.Mean(o.imb)
 	for l := 0; l < p.layers; l++ {
 		s.IncrementalSolves += p.incSolves[l]
 		s.FullSolves += p.fullSolves[l]
 	}
 	// Fault recovery is summarized once and the counters drained: fault
-	// events are applied before PlanBoundary (the boundary plan must see
-	// the post-fault membership), so the boundary reset cannot clear them.
+	// events are applied before PlanEpoch (the boundary plan must see the
+	// post-fault membership), so the epoch reset cannot clear them.
 	s.FaultEvents = p.faultEvents
 	p.faultEvents = 0
 	for l := 0; l < p.layers; l++ {

@@ -3,9 +3,11 @@ package training
 import (
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"laermoe/internal/faults"
+	"laermoe/internal/planner"
 	"laermoe/internal/topology"
 	"laermoe/internal/trace"
 )
@@ -124,80 +126,194 @@ func TestIncrementalSolvesEngage(t *testing.T) {
 	}
 }
 
-// TestPlanEpochMatchesSplitSteps pins the single-dispatch epoch driver to
-// the split PlanBoundary+Observe sequence: same decisions, same summary,
-// for every policy over a drifting stream. The run is long enough for the
-// predictive policy's trust streak to mature, so acted boundary decisions
-// are compared too — PlanEpoch interleaves the observation step before
-// the boundary decisions are assembled, and the reported forecast error
-// must still be the boundary-time value the split sequence reports.
-func TestPlanEpochMatchesSplitSteps(t *testing.T) {
-	for _, policy := range ReplanPolicies() {
-		sawBoundary := false
-		merged, err := NewOnlinePlanner(onlineCfg(policy, trace.DriftBursty))
-		if err != nil {
-			t.Fatal(err)
-		}
-		split, err := NewOnlinePlanner(onlineCfg(policy, trace.DriftBursty))
-		if err != nil {
-			t.Fatal(err)
-		}
-		genCfg := trace.GeneratorConfig{
-			Devices: merged.Devices(), Experts: merged.Experts(), Layers: merged.Layers(),
-			TokensPerDevice: merged.Setup().TokensPerDev, TopK: 2, Seed: 17,
-		}
-		genA, err := ObservationGenerator(genCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		genB, err := ObservationGenerator(genCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ra, rb []*trace.RoutingMatrix
-		for epoch := 0; epoch < 6; epoch++ {
-			if epoch > 0 {
-				dc := trace.DriftConfig{Model: trace.DriftMigration, Rate: 0.1}
-				if err := genA.ApplyDrift(dc); err != nil {
-					t.Fatal(err)
-				}
-				if err := genB.ApplyDrift(dc); err != nil {
-					t.Fatal(err)
-				}
+// epochStream is the observation process the epoch-planning checks share:
+// the engine's generator at seed 17 for p's shape, with migration drift at
+// rate 0.1 applied before every epoch after the first.
+func epochStream(t *testing.T, p *OnlinePlanner) func(epoch int, dst []*trace.RoutingMatrix) []*trace.RoutingMatrix {
+	t.Helper()
+	gen, err := ObservationGenerator(trace.GeneratorConfig{
+		Devices: p.Devices(), Experts: p.Experts(), Layers: p.Layers(),
+		TokensPerDevice: p.Setup().TokensPerDev, TopK: 2, Seed: 17,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(epoch int, dst []*trace.RoutingMatrix) []*trace.RoutingMatrix {
+		if epoch > 0 {
+			if err := gen.ApplyDrift(trace.DriftConfig{Model: trace.DriftMigration, Rate: 0.1}); err != nil {
+				t.Fatal(err)
 			}
-			ra = genA.StepInto(ra)
-			rb = genB.StepInto(rb)
+		}
+		return gen.StepInto(dst)
+	}
+}
 
-			mb, mo, err := merged.PlanEpoch(ra)
+// TestBoundaryForecastErrorCarriesOver pins the forecast error an acted
+// boundary decision reports: the error its solve was discounted by, which
+// is the same layer's measured error from the previous epoch's
+// observation — not the one this epoch's observation step measures a
+// moment later in the same PlanEpoch. The run is long enough for the
+// predictive policy's trust streak to mature, and the reactive policies
+// must emit no boundary decisions and one observation decision per layer.
+func TestBoundaryForecastErrorCarriesOver(t *testing.T) {
+	for _, policy := range ReplanPolicies() {
+		p, err := NewOnlinePlanner(onlineCfg(policy, trace.DriftBursty))
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := epochStream(t, p)
+		var routing []*trace.RoutingMatrix
+		prevErr := make([]float64, p.Layers())
+		acted, nonzero := 0, 0
+		for epoch := 0; epoch < 6; epoch++ {
+			routing = next(epoch, routing)
+			bdec, odec, err := p.PlanEpoch(routing)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sb, err := split.PlanBoundary()
-			if err != nil {
-				t.Fatal(err)
+			if policy != ReplanPredictive && len(bdec) > 0 {
+				t.Fatalf("%s epoch %d: reactive policy emitted boundary decisions %+v", policy, epoch, bdec)
 			}
-			so, err := split.Observe(rb)
-			if err != nil {
-				t.Fatal(err)
+			if p.spec.Replans && len(odec) != p.Layers() {
+				t.Fatalf("%s epoch %d: %d observation decisions for %d layers", policy, epoch, len(odec), p.Layers())
 			}
-			am, _ := json.Marshal(struct {
-				B, O []LayerDecision
-				S    EpochSummary
-			}{mb, mo, merged.Summarize()})
-			as, _ := json.Marshal(struct {
-				B, O []LayerDecision
-				S    EpochSummary
-			}{sb, so, split.Summarize()})
-			if string(am) != string(as) {
-				t.Fatalf("%s epoch %d: PlanEpoch diverges from split steps\nmerged: %s\nsplit:  %s",
-					policy, epoch, am, as)
+			for _, d := range bdec {
+				if d.ForecastError != prevErr[d.Layer] {
+					t.Fatalf("%s epoch %d layer %d: boundary forecast error %v, previous observation measured %v",
+						policy, epoch, d.Layer, d.ForecastError, prevErr[d.Layer])
+				}
+				acted++
+				if d.ForecastError > 0 {
+					nonzero++
+				}
 			}
-			if len(mb) > 0 {
-				sawBoundary = true
+			clear(prevErr)
+			for _, d := range odec {
+				prevErr[d.Layer] = d.ForecastError
 			}
 		}
-		if policy == ReplanPredictive && !sawBoundary {
-			t.Fatalf("%s: no boundary ever acted — the comparison never covered a predictive boundary decision", policy)
+		if policy == ReplanPredictive && (acted == 0 || nonzero == 0) {
+			t.Fatalf("%s: %d acted boundary decisions, %d with a nonzero error — the check never bit", policy, acted, nonzero)
+		}
+	}
+}
+
+// TestLayoutRecyclingIsSafe audits every layout buffer the planner hands
+// back to a solver arena while the engine's epoch sequence runs: faults
+// due at iteration 0, PlanEpoch on the first iteration's routing, that
+// iteration on LayoutsAt(0), then faults due later in the epoch, plus a
+// planner-state round trip between two epochs. No buffer may be recycled
+// twice without being reissued, none while it is in force, and none
+// while the epoch's first iteration may still run on it. The predictive
+// run must cover boundary replans, corrections and a mid-epoch fault.
+func TestLayoutRecyclingIsSafe(t *testing.T) {
+	sched := faults.Schedule{
+		{Epoch: 2, Iter: 0, Kind: faults.NodeFail, Node: 1},
+		{Epoch: 4, Iter: 2, Kind: faults.NodeFail, Node: 2},
+	}
+	var (
+		p        *OnlinePlanner
+		policy   ReplanPolicy
+		inArena  map[*planner.Layout]bool
+		runsIter bool // the epoch's first iteration may still run
+	)
+	recycle := recycleLayout
+	t.Cleanup(func() { recycleLayout = recycle })
+	recycleLayout = func(s *planner.Solver, lay *planner.Layout) {
+		if inArena[lay] {
+			t.Errorf("%s: layout %p recycled twice", policy, lay)
+		}
+		if slices.Contains(p.LayoutsAt(1), lay) {
+			t.Errorf("%s: layout %p recycled while in force", policy, lay)
+		}
+		if runsIter && slices.Contains(p.LayoutsAt(0), lay) {
+			t.Errorf("%s: layout %p recycled while the first iteration may run on it", policy, lay)
+		}
+		inArena[lay] = true
+		recycle(s, lay)
+	}
+	// settle forgets buffers the arenas reissued: a layout in force after a
+	// planner step was handed out again and may be recycled once more.
+	settle := func() {
+		for _, lay := range p.LayoutsAt(1) {
+			delete(inArena, lay)
+		}
+	}
+	for _, policy = range ReplanPolicies() {
+		cfg := onlineCfg(policy, trace.DriftBursty)
+		cfg.Faults = sched
+		cfg.Parallelism = 1 // the audit reads planner state from inside the fanout
+		var err error
+		if p, err = NewOnlinePlanner(cfg); err != nil {
+			t.Fatal(err)
+		}
+		inArena = map[*planner.Layout]bool{}
+		next := epochStream(t, p)
+		var routing []*trace.RoutingMatrix
+		replans, corrections, midRepairs := 0, 0, 0
+		for epoch := 0; epoch < 6; epoch++ {
+			routing = next(epoch, routing)
+			if epoch == 3 {
+				st, err := p.ExportState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := p.RestoreState(st); err != nil {
+					t.Fatal(err)
+				}
+				settle()
+			}
+			if _, err := p.ApplyFaults(sched.At(epoch, 0)); err != nil {
+				t.Fatal(err)
+			}
+			settle()
+			for l := range routing {
+				FoldLostRows(routing[l], p.Topo())
+			}
+			before := slices.Clone(p.LayoutsAt(1))
+			runsIter = true
+			bdec, odec, err := p.PlanEpoch(routing)
+			if err != nil {
+				t.Fatal(err)
+			}
+			settle()
+			first, now := p.LayoutsAt(0), p.LayoutsAt(1)
+			boundaryReplan := make([]bool, p.Layers())
+			for _, d := range bdec {
+				if d.Action == ActionPredictiveReplan {
+					boundaryReplan[d.Layer] = true
+					replans++
+				}
+			}
+			for l := range first {
+				if (first[l] != before[l]) != boundaryReplan[l] {
+					t.Fatalf("%s epoch %d layer %d: first iteration's layout changed=%v, boundary replanned=%v",
+						policy, epoch, l, first[l] != before[l], boundaryReplan[l])
+				}
+				observed := odec != nil && odec[l].Action != ActionKeep
+				if (now[l] != first[l]) != observed {
+					t.Fatalf("%s epoch %d layer %d: observation changed the layout=%v, decided %v",
+						policy, epoch, l, now[l] != first[l], observed)
+				}
+			}
+			runsIter = false // the first iteration has executed
+			for it := 1; it < 4; it++ {
+				fdec, err := p.ApplyFaults(sched.At(epoch, it))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range fdec {
+					if d.Action != ActionKeep {
+						midRepairs++
+					}
+				}
+				settle()
+			}
+			corrections += p.Summarize().CorrectedLayers
+		}
+		if policy == ReplanPredictive && (replans == 0 || corrections == 0 || midRepairs == 0) {
+			t.Fatalf("%s: %d boundary replans, %d corrections, %d mid-epoch repairs — the run must cover all three",
+				policy, replans, corrections, midRepairs)
 		}
 	}
 }

@@ -595,42 +595,12 @@ func RunOnline(cfg OnlineConfig) (*OnlineReport, error) {
 		}
 		ep := OnlineEpoch{Epoch: e}
 
-		// Boundary fault events land before the boundary plan: the planner
-		// must forecast and place onto the post-fault membership, and the
-		// recovery charge queues for the first iteration's critical path.
-		if elastic {
-			if evs := cfg.Faults.At(e, 0); len(evs) > 0 {
-				fdec, ferr := core.ApplyFaults(evs)
-				if ferr != nil {
-					return nil, ferr
-				}
-				for _, ev := range evs {
-					ep.FaultEvents = append(ep.FaultEvents, ev.String())
-				}
-				ep.FaultDecisions = append(ep.FaultDecisions, fdec...)
-			}
-		}
-
-		// Predictive boundary replanning: forecast this epoch's loads and,
-		// where the previous window's error earns trust, install the new
-		// layout before the first iteration executes. Layers without that
-		// track record still forecast (so the error can be measured and
-		// trust earned) but fall back to the reactive path below. For the
-		// reactive policies PlanBoundary only resets the epoch state.
-		start := time.Now()
-		bdec, berr := core.PlanBoundary()
-		if berr != nil {
-			return nil, berr
-		}
-		if core.pred {
-			ep.PlannerTime += time.Since(start).Seconds()
-		}
-		ep.BoundaryDecisions = bdec
-
 		for it := 0; it < cfg.IterationsPerEpoch; it++ {
-			// Mid-epoch fault events fire before the iteration they name
-			// executes; their recovery charge lands on that iteration.
-			if elastic && it > 0 {
+			// Fault events fire before the iteration they name executes;
+			// their recovery charge lands on that iteration. Events at
+			// iteration 0 land before the epoch's planning, so the planner
+			// forecasts and places onto the post-fault membership.
+			if elastic {
 				if evs := cfg.Faults.At(e, it); len(evs) > 0 {
 					fdec, ferr := core.ApplyFaults(evs)
 					if ferr != nil {
@@ -655,7 +625,31 @@ func RunOnline(cfg OnlineConfig) (*OnlineReport, error) {
 					FoldLostRows(routing[l], topo)
 				}
 			}
-			layouts := core.Layouts()
+
+			// The epoch's first iteration doubles as its observation, so
+			// the epoch is planned from its routing up front. The
+			// predictive boundary step forecasts this epoch's loads and,
+			// where the previous window's error earns trust, installs the
+			// layouts the iteration itself runs on (migration charged
+			// there). The observation step is the paper's asynchronous
+			// planning (Fig. 7) at epoch scale: the reactive policies
+			// replan from the observed routing, the predictive policy
+			// folds it into its forecasters and corrects layers whose
+			// forecast missed, and those layouts take over from iteration
+			// 1, whose critical path pays their migration.
+			if it == 0 {
+				start := time.Now()
+				bdec, odec, perr := core.PlanEpoch(routing)
+				if perr != nil {
+					return nil, perr
+				}
+				if spec.Replans {
+					ep.PlannerTime = time.Since(start).Seconds()
+				}
+				ep.BoundaryDecisions, ep.ObservationDecisions = bdec, odec
+			}
+
+			layouts := core.LayoutsAt(it)
 			denv.Restored = core.StaticRestored()
 			for l := range plans {
 				// The policy's registered dispatch routes the layer: fixed
@@ -687,23 +681,6 @@ func RunOnline(cfg OnlineConfig) (*OnlineReport, error) {
 			ep.StepTime += iter.Time
 			ep.IterationTimes = append(ep.IterationTimes, iter.Time)
 			ep.Imbalance += stats.Mean(iter.PerLayerImbalance)
-
-			// The epoch's first iteration doubles as its observation: the
-			// reactive policies solve this epoch's layouts from its routing
-			// (the paper's asynchronous planning, Fig. 7, at epoch scale)
-			// with migration landing on iteration 1's critical path; the
-			// predictive policy folds the realization into its forecasters
-			// and falls back to the same reactive solve for layers that
-			// could not (or should not have) trusted their forecast.
-			if it == 0 && spec.Replans {
-				start := time.Now()
-				odec, oerr := core.Observe(routing)
-				if oerr != nil {
-					return nil, oerr
-				}
-				ep.PlannerTime += time.Since(start).Seconds()
-				ep.ObservationDecisions = odec
-			}
 		}
 
 		sum := core.Summarize()

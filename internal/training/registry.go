@@ -45,7 +45,7 @@ type PolicySpec struct {
 	Description string
 
 	// Replans: the policy plans re-layouts from observations (static-like
-	// policies keep the initial layout and skip Observe/PlanBoundary
+	// policies keep the initial layout and skip PlanEpoch's planning
 	// work entirely). Tracks: the policy carries per-layer drift trackers
 	// for incremental warm solves. Predictive: the policy forecasts loads
 	// at epoch boundaries.

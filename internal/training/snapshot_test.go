@@ -39,10 +39,7 @@ func feedEpochs(t *testing.T, p *OnlinePlanner, n int, seed int64) []uint64 {
 				t.Fatal(err)
 			}
 		}
-		if _, err := p.PlanBoundary(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.Observe(gen.Step()); err != nil {
+		if _, _, err := p.PlanEpoch(gen.Step()); err != nil {
 			t.Fatal(err)
 		}
 		p.Summarize()

@@ -162,11 +162,7 @@ func (p *OnlinePlanner) RestoreState(st *PlannerState) error {
 	}
 
 	for l := 0; l < p.layers; l++ {
-		if p.owned[l] {
-			p.solvers[l].Recycle(p.layouts[l])
-		}
-		p.layouts[l] = layouts[l]
-		p.owned[l] = true
+		p.setLayout(l, layouts[l], true, false)
 		p.plannedLoads[l] = append(p.plannedLoads[l][:0], st.PlannedLoads[l]...)
 		p.faultTime[l], p.faultMoves[l], p.faultRestored[l] = 0, 0, 0
 		if len(st.FaultTime) == p.layers {

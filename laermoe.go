@@ -385,25 +385,6 @@ func DriftSpecs() []DriftSpec {
 	return out
 }
 
-// Policies returns every online replanning policy name.
-func Policies() []string {
-	out := make([]string, 0, len(training.ReplanPolicies()))
-	for _, p := range training.ReplanPolicies() {
-		out = append(out, string(p))
-	}
-	return out
-}
-
-// Workloads returns every online workload name.
-func Workloads() []string {
-	specs := training.WorkloadSpecs()
-	out := make([]string, len(specs))
-	for i, s := range specs {
-		out[i] = string(s.Name)
-	}
-	return out
-}
-
 // Arrivals returns every inference arrival-shape name.
 func Arrivals() []string {
 	shapes := trace.ArrivalShapes()
@@ -428,15 +409,6 @@ const (
 	PredictorTrend = "trend"
 )
 
-// Predictors returns every load-predictor name.
-func Predictors() []string {
-	out := make([]string, 0, len(forecast.Kinds()))
-	for _, k := range forecast.Kinds() {
-		out = append(out, string(k))
-	}
-	return out
-}
-
 // Drift model names accepted by SimulateOnline.
 const (
 	DriftNone        = "none"
@@ -444,15 +416,6 @@ const (
 	DriftBursty      = "bursty"
 	DriftMigration   = "migration"
 )
-
-// DriftModels returns every drift model name.
-func DriftModels() []string {
-	out := make([]string, 0, len(trace.DriftModels()))
-	for _, m := range trace.DriftModels() {
-		out = append(out, string(m))
-	}
-	return out
-}
 
 // OnlineSessionSpec is the shared online-session specification — policy,
 // workload, predictor, thresholds, batch shape — embedded by

@@ -350,23 +350,23 @@ func TestRelocationCostAPI(t *testing.T) {
 }
 
 func TestPoliciesAndDriftModels(t *testing.T) {
-	pols := Policies()
+	pols := PolicySpecs()
 	if len(pols) != 6 {
-		t.Fatalf("Policies() = %v", pols)
+		t.Fatalf("PolicySpecs() = %v", pols)
 	}
 	have := map[string]bool{}
 	for _, p := range pols {
-		have[p] = true
+		have[p.Name] = true
 	}
 	for _, want := range []string{"llep", "score-balance"} {
 		if !have[want] {
-			t.Fatalf("Policies() = %v missing %q", pols, want)
+			t.Fatalf("PolicySpecs() = %v missing %q", pols, want)
 		}
 	}
-	if len(DriftModels()) != 4 {
-		t.Fatalf("DriftModels() = %v", DriftModels())
+	if len(DriftSpecs()) != 4 {
+		t.Fatalf("DriftSpecs() = %v", DriftSpecs())
 	}
-	if len(Predictors()) != 3 {
-		t.Fatalf("Predictors() = %v", Predictors())
+	if len(PredictorSpecs()) != 3 {
+		t.Fatalf("PredictorSpecs() = %v", PredictorSpecs())
 	}
 }
